@@ -39,7 +39,6 @@ functions (``meet2``, ``meet_sets``, ``meet_general``, ``graph_meet``,
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import (
     Dict,
     Hashable,
@@ -409,97 +408,137 @@ class IndexedBackend:
         return meets
 
 
-class _TermPairs:
-    """Pair table of the column fast path: index → ``(term, OID)``.
-
-    Stands in for the python pair list :meth:`VectorBackend.meet_tagged`
-    interns: pair ``i`` lives in the column whose offset range covers
-    ``i``.  Built O(#terms); each lookup is one bisect plus one array
-    read, so only the pairs a consumer actually touches (the winners'
-    token sets) ever become python objects.
-    """
-
-    __slots__ = ("_terms", "_columns", "_offsets")
-
-    def __init__(self, terms, columns):
-        self._terms = terms
-        self._columns = columns
-        offsets = [0]
-        for column in columns:
-            offsets.append(offsets[-1] + len(column))
-        self._offsets = offsets
-
-    def __getitem__(self, index):
-        slot = bisect_right(self._offsets, index) - 1
-        return (
-            self._terms[slot],
-            int(self._columns[slot][index - self._offsets[slot]]),
-        )
-
-
 class TaggedBatch:
-    """A lazy ``Sequence[TaggedMeet]`` with precomputed ranking keys.
+    """The vector roll-up's result, kept as flat columns.
 
-    The vector roll-up's result, kept in flat-array form: indexing
-    materializes one real :class:`TaggedMeet` (so any element compares
-    equal to the python backends' output), while :attr:`rank_keys`
-    carries the engine's §4 sort key per meet, computed array-wise by
-    :meth:`VectorBackend._rank_key_rows`.  A top-k consumer therefore
-    ranks on the keys and only ever touches the winners — the losers'
-    token frozensets are never built.
+    A lazy ``Sequence[TaggedMeet]``: indexing materializes one real
+    :class:`TaggedMeet` (so any element compares equal to the python
+    backends' output).  Everything the engine's select step needs is
+    answered from the columns instead — the §4 rank keys, each meet's
+    pid, which meets cover every requested token (:meth:`covers`) and
+    the stand-in-root residue (:meth:`residue`) — so a top-k consumer
+    only ever materializes its winners.
+
+    Columns: pair ``i`` is ``(tokens[pair_tokens[i]], pair_oids[i])``;
+    meet ``m`` sits at ``meet_oids[m]`` and covers the pairs
+    ``group_pairs[bounds[m]:bounds[m + 1]]``.
     """
 
     __slots__ = (
-        "_pairs", "_order", "_emitted", "_group_pairs", "_starts",
-        "_ends", "rank_keys",
+        "_tokens", "_pair_tokens", "_pair_oids", "_meet_oids", "_meet_pids",
+        "_group_pairs", "_bounds", "_keys",
     )
 
-    def __init__(self, pairs, order, emitted, group_pairs, starts, ends,
-                 rank_keys):
-        self._pairs = pairs
-        self._order = order
-        self._emitted = emitted
+    def __init__(self, tokens, pair_tokens, pair_oids, meet_oids, meet_pids,
+                 group_pairs, bounds, keys):
+        self._tokens = tokens
+        self._pair_tokens = pair_tokens
+        self._pair_oids = pair_oids
+        self._meet_oids = meet_oids
+        self._meet_pids = meet_pids
         self._group_pairs = group_pairs
-        self._starts = starts
-        self._ends = ends
-        #: ``(joins, spread, -depth, oid)`` per meet — exactly
-        #: :meth:`NearestConceptEngine._rank_keys`, index-aligned.
-        self.rank_keys: List[Tuple[int, int, int, int]] = rank_keys
+        self._bounds = bounds
+        #: ``(joins, spread, -depth, oid)`` rows, one per meet.
+        self._keys = keys
 
-    @classmethod
-    def empty(cls) -> "TaggedBatch":
-        return cls([], [], [], [], [], [], [])
+    @property
+    def rank_keys(self) -> List[Tuple[int, int, int, int]]:
+        """The §4 sort keys as tuples — exactly
+        :meth:`NearestConceptEngine._rank_keys`, index-aligned."""
+        return list(map(tuple, self._keys.tolist()))
 
     def __len__(self) -> int:
-        return len(self._emitted)
+        return len(self._meet_oids)
 
-    def __bool__(self) -> bool:
-        return len(self._emitted) > 0
-
-    def __iter__(self) -> Iterator[TaggedMeet]:
-        for position in range(len(self._emitted)):
-            yield self[position]
-
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [
-                self[index]
-                for index in range(*position.indices(len(self._emitted)))
-            ]
+    def __getitem__(self, position: int) -> TaggedMeet:
         if position < 0:
-            position += len(self._emitted)
-        if not 0 <= position < len(self._emitted):
+            position += len(self)
+        if not 0 <= position < len(self):
             raise IndexError(position)
-        pairs = self._pairs
+        bounds = self._bounds
         return TaggedMeet(
-            oid=int(self._order[self._emitted[position]]),
-            tokens=frozenset(
-                pairs[index]
-                for index in self._group_pairs[
-                    self._starts[position]:self._ends[position]
-                ].tolist()
-            ),
+            oid=int(self._meet_oids[position]),
+            tokens=frozenset(self._pairs(
+                self._group_pairs[bounds[position]:bounds[position + 1]]
+            )),
         )
+
+    def _pairs(self, indexes) -> List[Tuple[Token, int]]:
+        tokens = self._tokens
+        return list(zip(
+            [tokens[slot] for slot in self._pair_tokens[indexes].tolist()],
+            self._pair_oids[indexes].tolist(),
+        ))
+
+    def covers(self, wanted: Set[Token]):
+        """Per meet (bool array): do its tokens include all of ``wanted``?"""
+        import numpy as np
+
+        slots = [
+            slot for slot, token in enumerate(self._tokens) if token in wanted
+        ]
+        if len(slots) < len(wanted):
+            return np.zeros(len(self), dtype=bool)
+        needed = np.zeros(len(self._tokens), dtype=bool)
+        needed[slots] = True
+        entry_tokens = self._pair_tokens[self._group_pairs]
+        group_of = np.repeat(
+            np.arange(len(self), dtype=np.int64), np.diff(self._bounds)
+        )
+        keep = needed[entry_tokens]
+        width = len(self._tokens)
+        distinct = np.unique(group_of[keep] * width + entry_tokens[keep])
+        return np.bincount(distinct // width, minlength=len(self)) == len(slots)
+
+    def residue(self, root: int) -> List[Tuple[Token, int]]:
+        """The input pairs no meet other than ``root`` absorbed.
+
+        Every pair joins at most one meet, so these are the pairs of
+        the meet at ``root`` (if any) plus the pairs no meet absorbed.
+        """
+        import numpy as np
+
+        absorbed = np.zeros(len(self._pair_oids), dtype=bool)
+        absorbed[self._group_pairs] = True
+        bounds = self._bounds
+        for position in np.flatnonzero(self._meet_oids == root).tolist():
+            absorbed[
+                self._group_pairs[bounds[position]:bounds[position + 1]]
+            ] = False
+        return self._pairs(np.flatnonzero(~absorbed))
+
+    def select(
+        self,
+        exclude_pids: Set[int],
+        wanted: Set[Token],
+        within: Optional[int],
+        limit: Optional[int],
+    ) -> List[int]:
+        """Positions of the meets passing every filter, best first.
+
+        The column form of :meth:`NearestConceptEngine.select`: boolean
+        masks for the filters, then a partition on joins (the leading
+        key) narrows the candidates before the exact lexicographic sort.
+        """
+        import numpy as np
+
+        if not len(self) or (limit is not None and limit <= 0):
+            return []
+        keys = self._keys
+        keep = np.ones(len(self), dtype=bool)
+        if exclude_pids:
+            keep &= ~np.isin(self._meet_pids, list(exclude_pids))
+        if wanted:
+            keep &= self.covers(wanted)
+        if within is not None:
+            keep &= keys[:, 0] <= within
+        candidates = np.flatnonzero(keep)
+        if limit is not None and limit < len(candidates):
+            joins = keys[candidates, 0]
+            cutoff = np.partition(joins, limit - 1)[limit - 1]
+            candidates = candidates[joins <= cutoff]
+        ranked = candidates[np.lexsort(keys[candidates].T[::-1])]
+        return ranked[:limit].tolist()
 
 
 class VectorBackend(IndexedBackend):
@@ -555,31 +594,32 @@ class VectorBackend(IndexedBackend):
     ) -> List[TaggedMeet]:
         """Fig. 5 as level-wise array passes over the auxiliary tree.
 
-        The (token, OID) pairs are interned exactly like the python
-        roll-up; from there propagation is
+        The distinct (token, OID) pairs become token-slot and OID
+        columns; from there propagation is
         :func:`repro.kernels.rollup.rollup_tagged`.
         """
-        pairs: List[Tuple[Token, int]] = list(dict.fromkeys(
-            (token, oid) for token, oid in tagged
-        ))
-        if not pairs:
-            return []
         import numpy as np
 
+        pairs = dict.fromkeys((token, oid) for token, oid in tagged)
+        slots: Dict[Token, int] = {}
+        pair_tokens = np.fromiter(
+            (slots.setdefault(token, len(slots)) for token, _ in pairs),
+            dtype=np.int64,
+            count=len(pairs),
+        )
         pair_oids = np.fromiter(
             (oid for _, oid in pairs), dtype=np.int64, count=len(pairs)
         )
-        return list(self._materialize_tagged(pairs, pair_oids))
+        return list(self._batch(list(slots), pair_tokens, pair_oids))
 
     def meet_term_hits(self, term_hits) -> "TaggedBatch":
         """The engine's batched fast path: (term, Hits) straight in.
 
         Each term contributes its cached distinct-OID column
-        (:meth:`repro.fulltext.index.Hits.oid_column`).  The result is
-        a :class:`TaggedBatch`: a lazy ``Sequence[TaggedMeet]`` whose
-        ranking keys are already computed array-wise — consumers that
-        only rank and keep the top-k never pay for materializing the
-        losers' token frozensets.
+        (:meth:`repro.fulltext.index.Hits.oid_column`) whole — no
+        python pair list.  The result is a :class:`TaggedBatch`, whose
+        consumers rank and filter on columns and materialize only the
+        meets they return.
         """
         import numpy as np
 
@@ -590,38 +630,48 @@ class VectorBackend(IndexedBackend):
             if len(column):
                 terms.append(term)
                 columns.append(column)
-        if not columns:
-            return TaggedBatch.empty()
-        pair_oids = columns[0] if len(columns) == 1 else np.concatenate(columns)
-        return self._materialize_tagged(_TermPairs(terms, columns), pair_oids)
+        pair_tokens = np.repeat(
+            np.arange(len(columns), dtype=np.int64),
+            [len(column) for column in columns],
+        )
+        pair_oids = (
+            np.concatenate(columns) if columns
+            else np.empty(0, dtype=np.int64)
+        )
+        return self._batch(terms, pair_tokens, pair_oids)
 
-    def _materialize_tagged(self, pairs, pair_oids) -> "TaggedBatch":
+    def _batch(self, tokens, pair_tokens, pair_oids) -> "TaggedBatch":
         import numpy as np
 
         from ..kernels.rollup import rollup_tagged
 
-        order, emitted, group_pairs, boundaries = rollup_tagged(
-            self.kernels, pair_oids
-        )
+        emitted = ()
+        if len(pair_oids):
+            order, emitted, group_pairs, boundaries = rollup_tagged(
+                self.kernels, pair_oids
+            )
         if not len(emitted):
-            return TaggedBatch.empty()
-        keys = self._rank_key_rows(order, emitted, pair_oids, group_pairs,
-                                   boundaries)
+            empty = np.empty(0, dtype=np.int64)
+            return TaggedBatch(
+                tokens, pair_tokens, pair_oids, empty, empty, empty,
+                np.zeros(1, dtype=np.int64),
+                np.empty((0, 4), dtype=np.int64),
+            )
+        meet_oids = order[emitted]
+        bounds = np.concatenate(([0], boundaries, [len(group_pairs)]))
+        keys, meet_pids = self._rank_key_rows(
+            meet_oids, pair_oids, group_pairs, bounds
+        )
         return TaggedBatch(
-            pairs,
-            order,
-            emitted.tolist(),
-            group_pairs,
-            np.concatenate(([0], boundaries)).tolist(),
-            np.concatenate((boundaries, [len(group_pairs)])).tolist(),
-            keys,
+            tokens, pair_tokens, pair_oids, meet_oids, meet_pids,
+            group_pairs, bounds, keys,
         )
 
-    def _rank_key_rows(self, order, emitted, pair_oids, group_pairs,
-                       boundaries) -> List[Tuple[int, int, int, int]]:
-        """The engine's §4 sort keys for every emitted meet, array-wise.
+    def _rank_key_rows(self, meet_oids, pair_oids, group_pairs, bounds):
+        """(§4 sort-key rows, meet pids) for every emitted meet.
 
-        Byte-identical to :meth:`NearestConceptEngine._rank_keys` —
+        The rows are byte-identical to
+        :meth:`NearestConceptEngine._rank_keys` —
         ``(joins, spread, -depth, oid)`` with summary depths and
         live-node spreads — but computed with five whole-array passes
         while the roll-up's flat arrays are still in hand, instead of
@@ -638,12 +688,9 @@ class VectorBackend(IndexedBackend):
         # Distinct origin OIDs per emitted meet: one combined
         # (group, OID) key, uniqued — groups stay contiguous and the
         # origins inside a group come out sorted ascending.
-        group_count = len(emitted)
-        lengths = np.diff(
-            np.concatenate(([0], boundaries, [len(group_pairs)]))
-        )
+        group_count = len(meet_oids)
         group_of = np.repeat(
-            np.arange(group_count, dtype=np.int64), lengths
+            np.arange(group_count, dtype=np.int64), np.diff(bounds)
         )
         span = np.int64(store.node_count)
         origin_keys = sorted_unique(
@@ -656,8 +703,8 @@ class VectorBackend(IndexedBackend):
         )
         counts = np.diff(np.concatenate((starts, [len(origin_keys)])))
 
-        meet_oids = order[emitted]
-        meet_depths = depth_by_pid[pid_column[meet_oids - first]]
+        meet_pids = pid_column[meet_oids - first]
+        meet_depths = depth_by_pid[meet_pids]
         origin_depths = depth_by_pid[pid_column[origin_oids]]
         joins = np.add.reduceat(origin_depths, starts) - meet_depths * counts
 
@@ -682,7 +729,7 @@ class VectorBackend(IndexedBackend):
         rows[:, 1] = spreads
         rows[:, 2] = -meet_depths
         rows[:, 3] = meet_oids
-        return list(map(tuple, rows.tolist()))
+        return rows, meet_pids
 
     def _rank_columns(self):
         """(pid column, depth-by-pid) as int64 arrays, generation-keyed.

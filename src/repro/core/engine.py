@@ -41,9 +41,11 @@ import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
+    Collection,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -56,7 +58,7 @@ from ..fulltext.index import FullTextIndex, Hits
 from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.reassembly import object_text, reassemble_subtree
-from .backends import BackendSpec, MeetBackend, resolve_backend
+from .backends import BackendSpec, MeetBackend, TaggedBatch, resolve_backend
 from .meet_general import GeneralMeet, TaggedMeet
 from .meet_pair import PairMeet
 from .meet_sets import SetMeet
@@ -277,80 +279,73 @@ class NearestConceptEngine:
             if cached is not None:
                 return list(cached)
 
-        batched = getattr(self.backend, "meet_term_hits", None)
-        if batched is not None:
-            # Vector fast path: hand each term's cached distinct-OID
-            # column to the backend whole — no python pair list.
-            # Duplicate terms dedupe here exactly as duplicate
-            # (term, OID) pairs dedupe inside meet_tagged.
-            results = batched(
-                (term, self.term_hits(term))
-                for term in dict.fromkeys(terms)
+        hits = {term: self.term_hits(term) for term in dict.fromkeys(terms)}
+        concepts = [
+            self._annotate(result)
+            for result in self.select(
+                self.roll_up(hits),
+                exclude_pids=excluded,
+                wanted=set(terms) if require_all_terms else (),
+                within=within,
+                limit=limit,
             )
-        else:
-            tagged: List[Tuple[str, int]] = []
-            for term in terms:
-                for oid in self.term_hits(term).oids():
-                    tagged.append((term, oid))
-            results = self.backend.meet_tagged(tagged)
-        # A TaggedBatch arrives with the §4 sort keys already computed
-        # array-wise; filters below keep the two sequences aligned.
-        keys = getattr(results, "rank_keys", None)
-        if excluded:
-            pid_of = self.store.pid_of
-            if keys is not None:
-                kept = [
-                    i for i, key in enumerate(keys)
-                    if pid_of(key[3]) not in excluded  # key[3] == oid
-                ]
-                results = [results[i] for i in kept]
-                keys = [keys[i] for i in kept]
-            else:
-                results = [
-                    r for r in results if pid_of(r.oid) not in excluded
-                ]
-        if require_all_terms:
-            wanted = set(terms)
-            if keys is not None:
-                kept = [
-                    i for i, r in enumerate(results)
-                    if set(r.tags) >= wanted
-                ]
-                results = [results[i] for i in kept]
-                keys = [keys[i] for i in kept]
-            else:
-                results = [r for r in results if set(r.tags) >= wanted]
-
-        if limit is not None and len(results) > limit:
-            # Serving fast path: rank on the cheap key ingredients and
-            # fully annotate (paths, sorted term tuples) only the top-k.
-            # sort_key is a strict total order (the OID tiebreak), so
-            # the selection equals sort-then-truncate exactly.
-            if keys is not None:
-                candidates: Iterable[int] = range(len(results))
-                if within is not None:
-                    candidates = [
-                        i for i in candidates if keys[i][0] <= within
-                    ]
-                top = heapq.nsmallest(limit, candidates,
-                                      key=keys.__getitem__)
-                concepts = [self._annotate(results[i]) for i in top]
-            else:
-                keyed = self._rank_keys(results)
-                if within is not None:
-                    keyed = [(k, r) for k, r in keyed if k[0] <= within]
-                winners = heapq.nsmallest(limit, keyed, key=_key_of)
-                concepts = [self._annotate(result) for _, result in winners]
-        else:
-            concepts = [self._annotate(result) for result in results]
-            concepts.sort(key=NearestConcept.sort_key)
-            if within is not None:
-                concepts = [c for c in concepts if c.joins <= within]
-            if limit is not None:
-                concepts = concepts[:limit]
+        ]
         if cache is not None:
             cache.put(key, tuple(concepts))
         return concepts
+
+    def roll_up(self, hits: Mapping[str, Hits]) -> Sequence[TaggedMeet]:
+        """Fig. 5 over per-term hits, each input tagged with its term.
+
+        The vector backend takes each term's distinct-OID column whole
+        and answers a :class:`~repro.core.backends.TaggedBatch`; the
+        other backends roll up the flat (term, OID) pair list.
+        """
+        batched = getattr(self.backend, "meet_term_hits", None)
+        if batched is not None:
+            return batched(hits.items())
+        return self.backend.meet_tagged(
+            (term, oid) for term, found in hits.items() for oid in found.oids()
+        )
+
+    def select(
+        self,
+        results: Sequence[TaggedMeet],
+        *,
+        exclude_pids: Collection[int] = (),
+        wanted: Collection[str] = (),
+        within: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> List[TaggedMeet]:
+        """The §4 select step: the winning meets of a roll-up, best first.
+
+        Drops meets whose pid is in ``exclude_pids`` (``meet_X``), whose
+        tags miss a ``wanted`` term (the conjunctive filter) or whose
+        join count exceeds ``within`` (the k-restriction), then ranks by
+        :meth:`NearestConcept.sort_key` and keeps the first ``limit``.
+        The key is a strict total order (the OID tiebreak), so top-k
+        equals sort-then-truncate exactly.  A
+        :class:`~repro.core.backends.TaggedBatch` answers on its columns
+        and materializes only the winners; a list runs the same steps
+        as python loops.
+        """
+        exclude_pids, wanted = set(exclude_pids), set(wanted)
+        if isinstance(results, TaggedBatch):
+            positions = results.select(exclude_pids, wanted, within, limit)
+            return [results[position] for position in positions]
+        if exclude_pids:
+            pid_of = self.store.pid_of
+            results = [r for r in results if pid_of(r.oid) not in exclude_pids]
+        if wanted:
+            results = [r for r in results if r.tags >= wanted]
+        keyed = self._rank_keys(results)
+        if within is not None:
+            keyed = [(key, r) for key, r in keyed if key[0] <= within]
+        if limit is None:
+            keyed.sort(key=_key_of)
+        else:
+            keyed = heapq.nsmallest(limit, keyed, key=_key_of)
+        return [result for _key, result in keyed]
 
     def _rank_keys(
         self, results: List[TaggedMeet]

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..datamodel.errors import UnknownOIDError
-from ..monet.engine import MonetXML
+from ..monet.engine import MonetXML, build_lock
 
 __all__ = [
     "LcaIndex",
@@ -408,17 +408,22 @@ def get_lca_index(store: MonetXML) -> LcaIndex:
     :meth:`repro.monet.engine.MonetXML.invalidate_caches` — or loading
     / transforming a fresh store object — yields a fresh index, which
     is what keeps the index transparently correct when a store is
-    rebuilt.
+    rebuilt.  Builds are single-flight per store: concurrent first
+    readers of a new generation wait for one build.
     """
     global _builds, _hits
     cached = _cache.get(store)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    index = LcaIndex(store)
-    _cache[store] = index
-    _builds += 1
-    return index
+    if cached is None or cached.generation != getattr(store, "generation", 0):
+        with build_lock(store):
+            cached = _cache.get(store)
+            if cached is None or cached.generation != getattr(
+                store, "generation", 0
+            ):
+                cached = _cache[store] = LcaIndex(store)
+                _builds += 1
+                return cached
+    _hits += 1
+    return cached
 
 
 def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:

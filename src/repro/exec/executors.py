@@ -343,11 +343,17 @@ class ParallelExecutor:
         with self._lock:
             workers = dict(self._worker_stats)
             respawns = self._respawns.value
+            # The current pool's live processes, read from the pool:
+            # responses would only name the workers that served.
+            pool = self._pool
+            processes = [] if pool is None else list(pool._processes.items())
         return {
             "mode": self.name,
             "shards": self.shard_count,
             "workers": self.workers,
-            "worker_pids": sorted(workers),
+            "worker_pids": sorted(
+                pid for pid, process in processes if process.is_alive()
+            ),
             "respawns": respawns,
             "index_builds": {
                 "lca": sum(w["lca_builds"] for w in workers.values()),

@@ -29,13 +29,12 @@ The contract with the coordinator (:mod:`repro.exec.coordinator`):
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import kernels
+from ..core.backends import TaggedBatch
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
 from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
@@ -62,13 +61,11 @@ from ..query.planner import plan_query
 
 __all__ = [
     "ShardService",
-    "dissolve_stand_in_root",
+    "stand_in_residue",
     "term_mode",
     "hits_for_mode",
     "item_variable",
 ]
-
-_key_of = itemgetter(0)
 
 
 def term_mode(term: str, case_sensitive: bool) -> str:
@@ -111,31 +108,30 @@ def item_variable(item, plan) -> Optional[str]:
     return None
 
 
-def dissolve_stand_in_root(store, tagged, results):
-    """Split a shard-local roll-up into (kept meets, residue).
+def stand_in_residue(store, tagged, results):
+    """The shard-local roll-up's residue, as sorted (token, OID, depth).
 
     The correctness-critical heart of the sharding scheme, shared by
     the nearest pipeline and ``meet(...)`` query items: meets at the
     shard's stand-in root are dropped (the coordinator re-derives the
-    one true root meet globally), and the residue — every input pair
-    no *kept* meet absorbed, with its depth — is exactly the pending
-    set the monolithic roll-up would deliver to the document root.
+    one true root meet globally, and the select step excludes the root
+    pid), and the residue — every input pair no *other* meet absorbed,
+    with its depth — is exactly the pending set the monolithic roll-up
+    would deliver to the document root.  ``tagged`` (the input pairs)
+    is read only for a list of meets; a
+    :class:`~repro.core.backends.TaggedBatch` answers from its columns.
     """
     root = store.root_oid
-    covered: Set[Tuple[object, int]] = set()
-    kept = []
-    for result in results:
-        if result.oid == root:
-            continue
-        covered.update(result.tokens)
-        kept.append(result)
+    if isinstance(results, TaggedBatch):
+        pairs = results.residue(root)
+    else:
+        covered: Set[Tuple[object, int]] = set()
+        for result in results:
+            if result.oid != root:
+                covered.update(result.tokens)
+        pairs = set(tagged) - covered
     depth_of = store.depth_of
-    residue = sorted(
-        (token, oid, depth_of(oid))
-        for token, oid in set(tagged)
-        if (token, oid) not in covered
-    )
-    return kept, residue
+    return sorted((token, oid, depth_of(oid)) for token, oid in pairs)
 
 
 def _text_head(store: MonetXML, oid: int, width: int) -> str:
@@ -273,47 +269,27 @@ class ShardService:
         terms: List[Tuple[str, str]] = [
             (term, mode) for term, mode in params["terms"]
         ]
-        scan_terms = set(params.get("scan_terms", ()))
-        exclude_pids = set(params.get("exclude_pids", ()))
-        require_all = bool(params.get("require_all_terms", False))
-        within = params.get("within")
-        limit = params.get("limit")
-        wanted = {term for term, _ in terms}
-
-        hits, index_counts = self._resolve_hits(terms, scan_terms)
-        tagged: List[Tuple[str, int]] = []
-        for term, found in hits.items():
-            for oid in found.oids():
-                tagged.append((term, oid))
-
+        hits, index_counts = self._resolve_hits(
+            terms, set(params.get("scan_terms", ()))
+        )
         store = self.store
         engine = self.engine
-        batched = getattr(engine.backend, "meet_term_hits", None)
-        if batched is not None:
-            # Column fast path: hand the backend whole postings columns
-            # instead of the flattened pair list.  ``tagged`` is still
-            # needed below — the residue is defined over input pairs.
-            results = batched(hits.items())
-        else:
-            results = engine.backend.meet_tagged(tagged)
-        local, residue = dissolve_stand_in_root(store, tagged, results)
-
-        if exclude_pids:
-            pid_of = store.pid_of
-            local = [r for r in local if pid_of(r.oid) not in exclude_pids]
-        if require_all:
-            local = [r for r in local if set(r.tags) >= wanted]
-        keyed = engine._rank_keys(local)
-        if within is not None:
-            keyed = [(key, r) for key, r in keyed if key[0] <= within]
-        if limit is not None:
-            keyed = heapq.nsmallest(limit, keyed, key=_key_of)
-        else:
-            keyed.sort(key=_key_of)
-
+        results = engine.roll_up(hits)
+        winners = engine.select(
+            results,
+            exclude_pids={
+                *params.get("exclude_pids", ()), store.pid_of(store.root_oid)
+            },
+            wanted=(
+                {term for term, _ in terms}
+                if params.get("require_all_terms") else ()
+            ),
+            within=params.get("within"),
+            limit=params.get("limit"),
+        )
         meets = []
         pid_of = store.pid_of
-        for _key, result in keyed:
+        for result in winners:
             concept = engine._annotate(result)
             meets.append(
                 {
@@ -326,9 +302,12 @@ class ShardService:
                     "depth": concept.depth,
                 }
             )
+        tagged = (
+            (term, oid) for term, found in hits.items() for oid in found.oids()
+        )
         return {
             "meets": meets,
-            "residue": residue,
+            "residue": stand_in_residue(store, tagged, results),
             "index_counts": index_counts,
         }
 
@@ -527,28 +506,19 @@ class ShardService:
             for oid in minimal[variable]
         ]
         results = self.engine.backend.meet_tagged(tagged)
-        local, residue = dissolve_stand_in_root(store, tagged, results)
-        depth_of = store.depth_of
         excluded = resolve_pids(store, item.exclude_paths)
         root_pid = store.pid_of(root)
         if item.exclude_root:
             excluded.add(root_pid)
-        cells: List[int] = []
-        pid_of = store.pid_of
-        for meet in local:
-            if pid_of(meet.oid) in excluded:
-                continue
-            if item.within is not None:
-                meet_depth = depth_of(meet.oid)
-                joins = sum(
-                    depth_of(oid) - meet_depth for oid in meet.origins
-                )
-                if joins > item.within:
-                    continue
-            cells.append(meet.oid)
+        cells = [
+            meet.oid
+            for meet in self.engine.select(
+                results, exclude_pids=excluded | {root_pid}, within=item.within
+            )
+        ]
         return {
             "meets": sorted(cells),
-            "residue": residue,
+            "residue": stand_in_residue(store, tagged, results),
             "root_excluded": root_pid in excluded,
         }
 

@@ -42,7 +42,7 @@ from typing import (
 from weakref import WeakKeyDictionary
 
 from .. import kernels as _kernels
-from ..monet.engine import MonetXML
+from ..monet.engine import MonetXML, build_lock
 from .tokenizer import normalize, tokenize
 
 __all__ = [
@@ -647,26 +647,35 @@ def get_fulltext_index(
     mutation journal bridges the cached index's generation to the
     current one and tombstone density is below :data:`REBUILD_DENSITY`,
     the index is patched forward (appends add postings, deletes prune
-    by OID span) instead of rebuilt.
+    by OID span) instead of rebuilt.  Builds and patches are
+    single-flight per store: concurrent first readers of a new
+    generation wait for one.
     """
     global _hits, _patches
-    per_store = _cache.get(store)
-    if per_store is None:
-        per_store = _cache[store] = {}
-    cached = per_store.get(case_sensitive)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
+    cached = cached_fulltext_index(store, case_sensitive)
+    if cached is not None:
         _hits += 1
         return cached
-    if cached is not None and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY:
-        chain = _journal_chain(store, cached.generation)
-        if chain is not None:
-            index = cached.patched(chain)
-            per_store[case_sensitive] = index
-            _patches += 1
-            return index
-    index = FullTextIndex(store, case_sensitive=case_sensitive)
-    per_store[case_sensitive] = index
-    return index
+    with build_lock(store):
+        cached = cached_fulltext_index(store, case_sensitive)
+        if cached is not None:  # another reader built it meanwhile
+            _hits += 1
+            return cached
+        per_store = _cache.setdefault(store, {})
+        stale = per_store.get(case_sensitive)
+        if (
+            stale is not None
+            and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY
+        ):
+            chain = _journal_chain(store, stale.generation)
+            if chain is not None:
+                index = per_store[case_sensitive] = stale.patched(chain)
+                _patches += 1
+                return index
+        index = per_store[case_sensitive] = FullTextIndex(
+            store, case_sensitive=case_sensitive
+        )
+        return index
 
 
 def seed_fulltext_index(store: MonetXML, index: FullTextIndex) -> None:

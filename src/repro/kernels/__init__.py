@@ -13,9 +13,7 @@ with whole-array passes:
 * :mod:`repro.kernels.rollup` — the Fig. 4/5 roll-ups as level-wise
   array passes over the auxiliary tree;
 * :mod:`repro.kernels.postings` — sorted-array postings intersection /
-  union / grouping for the full-text index;
-* :mod:`repro.kernels.native` — a build stub for a cffi/Cython tier
-  behind the same seam (not compiled by default).
+  union / grouping for the full-text index.
 
 NumPy is an *optional* extra (``pip install repro-meet[native]``).
 Nothing in this package's import requires it: :func:`available` probes
@@ -40,9 +38,8 @@ __all__ = [
     "KERNEL_TIERS",
 ]
 
-#: The kernel tiers a process can run in.  ``native`` is reserved for
-#: the compiled (cffi/Cython) tier stubbed in :mod:`.native`.
-KERNEL_TIERS = ("python", "vector", "native")
+#: The kernel tiers a process can run in.
+KERNEL_TIERS = ("python", "vector")
 
 #: Environment values of ``REPRO_KERNELS`` that force pure python.
 _FORCE_PYTHON = {"python", "off", "0", "disabled"}

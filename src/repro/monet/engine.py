@@ -20,16 +20,34 @@ the paper via functional-join techniques, ref. [8]).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from ..datamodel.errors import ModelError, UnknownOIDError
 from ..datamodel.paths import Path
 from .bat import BAT
 from .pathsummary import PathSummary
 
-__all__ = ["MonetXML"]
+__all__ = ["MonetXML", "build_lock"]
+
+_build_locks: "WeakKeyDictionary[MonetXML, threading.RLock]" = (
+    WeakKeyDictionary()
+)
+_build_locks_guard = threading.Lock()
+
+
+def build_lock(store: "MonetXML") -> "threading.RLock":
+    """The per-store lock that makes derived-index builds single-flight.
+
+    A cache getter that misses takes it, re-checks its cache and only
+    then builds, so concurrent first readers of a new generation wait
+    for one build instead of each running their own.
+    """
+    with _build_locks_guard:
+        return _build_locks.setdefault(store, threading.RLock())
 
 
 class MonetXML:

@@ -10,6 +10,7 @@ a semantics change.
 
 import pytest
 
+from repro import kernels
 from repro.core.engine import NearestConceptEngine
 from repro.datamodel.errors import QueryPlanError
 from repro.datasets import (
@@ -93,6 +94,16 @@ NEAREST_OPTIONS = (
     {"exclude_root": True, "require_all_terms": True},
     {"within": 8},
     {"limit": 3, "within": 10},
+    {"require_all_terms": True, "limit": 2},
+)
+
+#: The vector tier runs only where NumPy imports; without it a
+#: ``"vector"`` request would silently degrade to ``indexed``.
+VECTOR = pytest.param(
+    "vector",
+    marks=pytest.mark.skipif(
+        not kernels.available(), reason="NumPy kernels unavailable"
+    ),
 )
 
 
@@ -121,7 +132,7 @@ def _sharded(store, backend, shards):
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "indexed"])
+@pytest.mark.parametrize("backend", ["steered", "indexed", VECTOR])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_nearest_answers_and_ranking_identical(
     stores, dataset, backend, shards
@@ -216,3 +227,53 @@ def test_scan_fallback_matches_monolithic(stores):
     assert [oid for oid, _ in sharded.term_hit_rows("Hac")] == sorted(
         engine.term_hits("Hac").oids()
     )
+
+
+@pytest.mark.skipif(not kernels.available(), reason="NumPy kernels unavailable")
+@pytest.mark.parametrize("exclude_root", [False, True])
+@pytest.mark.parametrize("require_all_terms", [False, True])
+def test_vector_paths_materialize_only_returned_meets(
+    stores, monkeypatch, exclude_root, require_all_terms
+):
+    """Mono and shard select rank on columns: only winners become meets."""
+    from repro.core.backends import TaggedBatch
+    from repro.exec.service import term_mode
+
+    store = stores["random"]
+    terms = ("wavelet", "texture")
+    limit = 2
+    engine = NearestConceptEngine(store, backend="vector")
+    batch = engine.roll_up({term: engine.term_hits(term) for term in terms})
+    assert isinstance(batch, TaggedBatch) and len(batch) > limit
+
+    materialized = []
+    original = TaggedBatch.__getitem__
+
+    def counting(self, position):
+        materialized.append(position)
+        return original(self, position)
+
+    monkeypatch.setattr(TaggedBatch, "__getitem__", counting)
+    answers = engine.nearest_concepts(
+        *terms,
+        exclude_root=exclude_root,
+        require_all_terms=require_all_terms,
+        limit=limit,
+    )
+    assert answers and len(materialized) <= len(answers)
+
+    plan = compute_shard_plan(store, 2)
+    root_pid = store.pid_of(store.root_oid)
+    for index, shard in enumerate(slice_store(store, plan)):
+        service = ShardService(shard, shard_id=index, backend="vector")
+        del materialized[:]
+        response = service.handle(
+            "nearest",
+            {
+                "terms": [(term, term_mode(term, False)) for term in terms],
+                "exclude_pids": [root_pid] if exclude_root else [],
+                "require_all_terms": require_all_terms,
+                "limit": limit,
+            },
+        )
+        assert len(materialized) <= len(response["meets"]) <= limit

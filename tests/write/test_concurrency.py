@@ -171,3 +171,47 @@ def test_readers_never_see_torn_answers(tmp_path):
         )
         final = _canonical(db)
         assert json.loads(final)["nearest"] == body["answers"]
+
+
+def test_concurrent_first_readers_share_one_index_build():
+    """After a write, four racing first readers wait for one build each."""
+    from repro.core.lca_index import get_lca_index, lca_index_cache_info
+    from repro.datasets import DblpConfig, dblp_document
+    from repro.fulltext.index import (
+        fulltext_index_cache_info,
+        get_fulltext_index,
+    )
+    from repro.monet.mutate import put_document
+    from repro.monet.transform import monet_transform
+
+    store = monet_transform(
+        dblp_document(DblpConfig(papers_per_proceedings=8, articles_per_year=4))
+    )
+    get_lca_index(store)
+    get_fulltext_index(store)
+    put_document(store, "fresh", "<article><title>Bit</title></article>")
+
+    lca_before = lca_index_cache_info().builds
+    text_before = fulltext_index_cache_info()
+    start = threading.Barrier(4)
+    indexes = []
+
+    def first_reader():
+        start.wait()
+        indexes.append((get_lca_index(store), get_fulltext_index(store)))
+
+    threads = [threading.Thread(target=first_reader) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    text_after = fulltext_index_cache_info()
+    assert lca_index_cache_info().builds - lca_before == 1
+    # The full-text index patches forward over the write's journal
+    # record instead of rebuilding; either way, exactly once.
+    assert (text_after.builds + text_after.patches) - (
+        text_before.builds + text_before.patches
+    ) == 1
+    assert len({id(lca) for lca, _ in indexes}) == 1
+    assert len({id(text) for _, text in indexes}) == 1
